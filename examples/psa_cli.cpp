@@ -5,7 +5,7 @@
 //                      [--per-statement] [--dot=OUT.dot] [--annotate]
 //                      [--check] [--sarif=OUT.sarif]
 //                      [--profile] [--metrics-out=FILE.jsonl]
-//                      [--no-widen] [--threads=N] [--memory-budget=BYTES]
+//                      [--no-widen] [--memory-budget=BYTES]
 //                      [--no-summaries] [--summary-iters=N]
 //                      [--deadline-ms=MS] [--max-visits=N] [--hard-fail]
 //                      [--isolate[=on|off]] [--jobs=N] [--timeout-ms=MS]
@@ -187,8 +187,6 @@ bool parse_args(int argc, char** argv, CliOptions& out) try {
       out.engine.enable_summaries = false;
     } else if (arg.rfind("--summary-iters=", 0) == 0) {
       out.engine.max_summary_iters = std::stoull(value_of("--summary-iters="));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      out.engine.threads = std::stoul(value_of("--threads="));
     } else if (arg.rfind("--memory-budget=", 0) == 0) {
       out.engine.memory_budget_bytes =
           std::stoull(value_of("--memory-budget="));
@@ -306,8 +304,7 @@ constexpr const char* kHelpText =
     "               [--per-statement] [--annotate] [--dot=OUT.dot]\n"
     "               [--check] [--sarif=OUT.sarif]\n"
     "               [--profile] [--metrics-out=FILE.jsonl]\n"
-    "               [--no-widen] [--threads=N]\n"
-    "               [--no-summaries] [--summary-iters=N]\n"
+    "               [--no-widen] [--no-summaries] [--summary-iters=N]\n"
     "               [--memory-budget=BYTES] [--deadline-ms=MS]\n"
     "               [--max-visits=N] [--hard-fail]\n"
     "       batch:  [--isolate[=on|off]] [--jobs=N] [--timeout-ms=MS]\n"

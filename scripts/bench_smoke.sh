@@ -31,7 +31,6 @@ BENCHES=(
   ablation_pruning
   ablation_join
   ablation_widening
-  parallel_transfer
   governor_overhead
   checker_cost
   cache_warm

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "support/metrics.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace psa::analysis {
@@ -46,8 +45,6 @@ class Engine {
       selectors_.assign(sels.begin(), sels.end());
     }
     ctx_.selectors = &selectors_;
-    if (options.threads > 1)
-      pool_ = std::make_unique<support::ThreadPool>(options.threads);
   }
 
   AnalysisResult run() {
@@ -316,9 +313,6 @@ class Engine {
       }
 
       std::vector<std::vector<rsg::Rsg>> produced(fresh.size());
-      const auto transfer_one = [&](std::size_t i) {
-        produced[i] = execute_statement(*fresh[i], cfg_.node(id), ctx_);
-      };
       // The fan-out is where the combinatorial blow-ups live (a statement
       // with thousands of fresh inputs, Table 1's Sparse-LU explosion), so
       // the stop predicate covers the memory budget as well as
@@ -327,13 +321,9 @@ class Engine {
       const auto abort_fanout = [&] {
         return governor.interrupted() || memory_tripped();
       };
-      if (pool_ != nullptr && fresh.size() > 1) {
-        pool_->parallel_for(fresh.size(), transfer_one, abort_fanout);
-      } else {
-        for (std::size_t i = 0; i < fresh.size(); ++i) {
-          if (abort_fanout()) break;
-          transfer_one(i);
-        }
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        if (abort_fanout()) break;
+        produced[i] = execute_statement(*fresh[i], cfg_.node(id), ctx_);
       }
       if (abort_fanout()) {
         // Outputs of an aborted fan-out are partial: un-record the inputs
@@ -455,7 +445,6 @@ class Engine {
   const Options& options_;
   TransferContext ctx_;
   std::vector<rsg::Symbol> selectors_;  // kHavoc selector universe
-  std::unique_ptr<support::ThreadPool> pool_;
   std::unordered_map<cfg::NodeId, TransferCache> transfer_cache_;
 };
 

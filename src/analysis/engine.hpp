@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "analysis/governor.hpp"
@@ -73,11 +72,6 @@ struct Options {
   /// point under further joins (see rsg::summarize_top). Optional: without
   /// it the top rung is unsaturated — still sound, slower to converge.
   const lang::TypeTable* types = nullptr;
-
-  /// Worker threads for the per-RSG transfer fan-out (see DESIGN.md §7).
-  /// 1 = serial. Results are merged in input order, so any thread count
-  /// produces identical RSRSGs.
-  std::size_t threads = 1;
 
   // --- Interprocedural analysis (src/ipa, docs/ALGORITHMS.md). ------------
 

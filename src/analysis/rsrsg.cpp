@@ -106,6 +106,11 @@ bool Rsrsg::merge(const Rsrsg& other, const LevelPolicy& policy,
 
 bool Rsrsg::widen(const LevelPolicy& policy, std::size_t max_graphs) {
   if (widened_ && graphs_.size() <= max_graphs) return false;
+  return degrade_members(policy, nullptr);
+}
+
+bool Rsrsg::degrade_members(const LevelPolicy& policy,
+                            const std::function<void(Rsg&)>& transform) {
   const bool was_widened = widened_;
   widened_ = true;
   // Re-insert every member through the widened-mode path: coarsen, then fold
@@ -117,6 +122,7 @@ bool Rsrsg::widen(const LevelPolicy& policy, std::size_t max_graphs) {
   old_fps.swap(fingerprints_);
   contexts_.clear();
   for (Rsg& g : members) {
+    if (transform) transform(g);
     insert(std::move(g), policy, /*enable_join=*/true);
   }
   // A widened set may *legitimately* exceed max_graphs (one member per
@@ -124,26 +130,6 @@ bool Rsrsg::widen(const LevelPolicy& policy, std::size_t max_graphs) {
   // Report change only when folding actually moved something — otherwise a
   // caller re-widening an over-threshold set on every visit would requeue
   // its successors forever.
-  if (!was_widened || graphs_.size() != old_fps.size()) return true;
-  for (std::size_t i = 0; i < old_fps.size(); ++i) {
-    if (fingerprints_[i] != old_fps[i]) return true;
-  }
-  return false;
-}
-
-bool Rsrsg::degrade_members(const LevelPolicy& policy,
-                            const std::function<void(Rsg&)>& transform) {
-  const bool was_widened = widened_;
-  widened_ = true;
-  std::vector<Rsg> members;
-  members.swap(graphs_);
-  std::vector<std::uint64_t> old_fps;
-  old_fps.swap(fingerprints_);
-  contexts_.clear();
-  for (Rsg& g : members) {
-    transform(g);
-    insert(std::move(g), policy, /*enable_join=*/true);
-  }
   if (!was_widened || graphs_.size() != old_fps.size()) return true;
   // Same cardinality: changed iff some member's fingerprint moved. (Order-
   // sensitive and thus conservative — a spurious `true` only requeues the

@@ -60,7 +60,8 @@ class Rsrsg {
   /// (coarsen + force-join ALIAS-equal members). The set enters widened mode,
   /// so later inserts stay coarse and the fixpoint terminates. `transform`
   /// must only widen (merge nodes, grow may-info, shrink must-info) for the
-  /// result to stay sound. Returns true when the set changed.
+  /// result to stay sound; an empty `transform` is plain widening. Returns
+  /// true when the set changed.
   bool degrade_members(const LevelPolicy& policy,
                        const std::function<void(Rsg&)>& transform);
 

@@ -62,8 +62,8 @@ void append_versions(KeyBuilder& key) {
   key.u32(static_cast<std::uint32_t>(support::kCounterCount));
 }
 
-/// Engine options that steer the fixpoint (threads excluded by contract),
-/// the checker and frontend-mode switches, and the interprocedural knobs.
+/// Engine options that steer the fixpoint, the checker and frontend-mode
+/// switches, and the interprocedural knobs.
 void append_options(KeyBuilder& key, const analysis::Options& options,
                     bool check, bool salvage) {
   key.u8(static_cast<std::uint8_t>(options.level));

@@ -10,9 +10,9 @@
 // analysis options that steer the fixpoint, and the checker on/off switch.
 //
 // Deliberately excluded: the unit *name* (two files with identical content
-// share one entry — that is the "content-addressed" in the name),
-// Options::threads (the engine contract guarantees thread-count-independent
-// results), and wall-clock state of any kind.
+// share one entry — that is the "content-addressed" in the name), the batch
+// worker count (it only picks which process runs a unit), and wall-clock
+// state of any kind.
 //
 // Version skew is part of the key: the PSASNAP1 format version and the
 // metrics counter vocabulary are mixed in, so a binary with a different wire

@@ -22,7 +22,9 @@ namespace {
 
 constexpr char kMagic[8] = {'P', 'S', 'A', 'R', 'P', 'C', '2', '\n'};
 constexpr std::size_t kHeaderSize = 8 + 1 + 8 + 8;
-constexpr std::uint32_t kBodyVersion = 2;
+// Version 3 dropped the engine thread count from the request body; an older
+// peer's bodies are rejected as unsupported instead of misparsed.
+constexpr std::uint32_t kBodyVersion = 3;
 
 void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -342,7 +344,6 @@ std::string encode_request(const ServiceRequest& request) {
   out.u64(request.engine.memory_budget_bytes);
   out.u64(request.engine.deadline_ms);
   out.u8(static_cast<std::uint8_t>(request.engine.budget_policy));
-  out.u64(request.engine.threads);
   out.u8(request.check ? 1 : 0);
   out.u8(request.strict_frontend ? 1 : 0);
   out.u64(request.unit_timeout_ms);
@@ -378,7 +379,6 @@ ServiceRequest decode_request(std::string_view body) {
     throw rsg::SnapshotError("budget policy out of range");
   }
   request.engine.budget_policy = static_cast<analysis::BudgetPolicy>(policy);
-  request.engine.threads = static_cast<std::size_t>(in.u64("threads"));
   request.check = in.u8("check") != 0;
   request.strict_frontend = in.u8("strict_frontend") != 0;
   request.unit_timeout_ms = in.u64("unit_timeout_ms");

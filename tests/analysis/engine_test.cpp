@@ -140,21 +140,6 @@ TEST(EngineTest, DeterministicAcrossRuns) {
   }
 }
 
-TEST(EngineTest, ParallelRsgsMatchSerial) {
-  const auto program = prepare(corpus::find_program("dll")->source);
-  Options serial;
-  Options parallel;
-  parallel.threads = 4;
-  const auto rs = analyze_program(program, serial);
-  const auto rp = analyze_program(program, parallel);
-  ASSERT_TRUE(rs.converged());
-  ASSERT_TRUE(rp.converged());
-  ASSERT_EQ(rs.per_node.size(), rp.per_node.size());
-  for (std::size_t i = 0; i < rs.per_node.size(); ++i) {
-    EXPECT_TRUE(rs.per_node[i].equals(rp.per_node[i])) << "stmt " << i;
-  }
-}
-
 TEST(EngineTest, JoinAblationGrowsSets) {
   const auto program = prepare(corpus::find_program("sll")->source);
   Options with_join;

@@ -115,13 +115,12 @@ TEST(GovernorTest, DeadlineZeroMeansNoDeadline) {
   EXPECT_FALSE(result.degradation.deadline_drain);
 }
 
-TEST(GovernorTest, DeadlineInterruptsParallelRunWithinTwiceTheBudget) {
-  // The acceptance bound: a threads > 1 run must come back within ~2x the
-  // deadline (the drain allowance) — never run to natural completion.
+TEST(GovernorTest, DeadlineInterruptsRunWithinTwiceTheBudget) {
+  // The acceptance bound: a run must come back within ~2x the deadline (the
+  // drain allowance) — never run to natural completion.
   const auto program = prepare(corpus::barnes_hut().source);
   Options options;
   options.level = rsg::AnalysisLevel::kL3;
-  options.threads = 4;
   options.deadline_ms = 50;
   const auto result = analyze_program(program, options);
   // Either the drain finished the coarse fixpoint in the grace period, or
@@ -158,12 +157,11 @@ TEST(GovernorTest, PreCancelledTokenStopsImmediately) {
   EXPECT_EQ(result.node_visits, 0u);
 }
 
-TEST(GovernorTest, CancellationFromAnotherThreadStopsParallelRun) {
+TEST(GovernorTest, CancellationFromAnotherThreadStopsRun) {
   const auto program = prepare(corpus::barnes_hut().source);
   CancelToken token;
   Options options;
   options.level = rsg::AnalysisLevel::kL3;
-  options.threads = 4;
   options.cancel = &token;
   std::thread canceller([&token] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));

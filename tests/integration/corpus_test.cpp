@@ -8,6 +8,18 @@
 #include "support/metrics.hpp"
 
 namespace psa {
+namespace corpus {
+
+// gtest prints a pointer parameter as its address, and gtest_discover_tests
+// copies that print into the CTest name, which then changes on every run of
+// a position-independent binary. Printing the program's name keeps the
+// CorpusAnalysisTest names the same from build to build.
+static void PrintTo(const CorpusProgram* p, std::ostream* os) {
+  *os << p->name;
+}
+
+}  // namespace corpus
+
 namespace {
 
 using analysis::AnalysisResult;

@@ -301,6 +301,17 @@ TEST(RequestCodec, RejectsGarbageAndTruncation) {
                rsg::SnapshotError);
   EXPECT_THROW((void)decode_request(body + "trailing junk"),
                rsg::SnapshotError);
+  // A version-2 body (it still carried the engine thread count) from an
+  // older peer is rejected by its version word, never misparsed.
+  std::string v2 = body;
+  v2.replace(0, 4, std::string("\x02\x00\x00\x00", 4));
+  try {
+    (void)decode_request(v2);
+    ADD_FAILURE() << "a version-2 request body was accepted";
+  } catch (const rsg::SnapshotError& e) {
+    EXPECT_STREQ(e.what(),
+                 rsg::SnapshotError("unsupported request version").what());
+  }
 }
 
 TEST(UnitResultCodec, RoundTripsAReportWithPayload) {
