@@ -11,15 +11,15 @@
 #      degradation markers, no corrupt cache entry ever served, crash +
 #      --resume reproduces the golden report byte-for-byte);
 #   2. the daemon: a golden daemon-served client run is traced, then every
-#      daemon-side durable op is faulted ({enospc, crash}, injected into the
-#      daemon's environment only) — the invariant is that a daemon-side io
-#      fault NEVER changes the client's answer: same exit code, report
-#      byte-identical to the daemon-less golden run modulo an explicit
-#      ", attempts N" retry marker (a crash-killed handler's unit is retried
-#      by the daemon's supervisor and truthfully reports the attempt count;
-#      the analysis content must still match byte-for-byte). Degraded
-#      daemons serve uncached; dead daemons trigger reconnect or local
-#      fallback.
+#      daemon-side durable op is faulted (PSA_FAULT_AT=#<op>:{enospc, crash},
+#      injected into the daemon's environment only) — the invariant is that
+#      a daemon-side io fault NEVER changes the client's answer: same exit
+#      code, report byte-identical to the daemon-less golden run modulo an
+#      explicit ", attempts N" retry marker (a crash-killed handler's unit
+#      is retried by the daemon's supervisor and truthfully reports the
+#      attempt count; the analysis content must still match byte-for-byte).
+#      Degraded daemons serve uncached; dead daemons trigger reconnect or
+#      local fallback.
 #
 #   $ scripts/fault_campaign.sh [BUILD_DIR]     # default: build
 #
@@ -126,7 +126,7 @@ echo "-- sweeping $(echo "$OPS" | wc -l) daemon ops x {enospc, crash}"
 for op in $OPS; do
   for kind in enospc crash; do
     rm -rf "$CACHE"
-    start_daemon PSA_IO_FAULT="$op:$kind"
+    start_daemon PSA_FAULT_AT="#$op:$kind"
     status=0
     $CLI $FILES --check --connect="$SOCK" >"$WORK/faulted.txt" \
       2>/dev/null || status=$?

@@ -140,14 +140,15 @@ std::string ResultCache::entry_path(const CacheKey& key) const {
   return (fs::path(dir_) / (key.hex() + std::string(kEntrySuffix))).string();
 }
 
-ResultCache::Lookup ResultCache::lookup(const CacheKey& key, LookupFault fault,
+ResultCache::Lookup ResultCache::lookup(const CacheKey& key,
+                                        support::FaultKind fault,
                                         EntryTier tier) {
   const support::Counter miss_counter = tier == EntryTier::kUnit
                                             ? support::Counter::kCacheMisses
                                             : support::Counter::kFuncCacheMisses;
   Lookup result;
   const std::string path = entry_path(key);
-  if (fault == LookupFault::kEvictRace) {
+  if (fault == support::FaultKind::kEvictRace) {
     // Injected sweep race: the eviction's unlink lands in the window between
     // the caller's decision to read and the read itself. Because policy
     // evictions are atomic unlinks, the loser of the race sees a whole-file
@@ -181,22 +182,11 @@ ResultCache::Lookup ResultCache::lookup(const CacheKey& key, LookupFault fault,
 }
 
 bool ResultCache::store(const CacheKey& key, std::string_view bytes,
-                        StoreFault fault, EntryTier tier) {
+                        support::FaultKind fault, EntryTier tier) {
   const support::Counter store_counter = tier == EntryTier::kUnit
                                              ? support::Counter::kCacheStores
                                              : support::Counter::kFuncCacheStores;
   const std::string final_path = entry_path(key);
-
-  if (fault == StoreFault::kTear) {
-    // Injected torn write: half the bytes, straight to the final path, no
-    // rename guard — the worst crash the real write path is designed to
-    // make impossible. The next lookup must evict it.
-    std::ofstream out(final_path, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-    PSA_COUNT(store_counter);
-    return true;
-  }
 
   const std::string tmp =
       final_path + ".tmp." + std::to_string(writer_id()) + "-" +
@@ -210,7 +200,7 @@ bool ResultCache::store(const CacheKey& key, std::string_view bytes,
     return false;
   }
 
-  if (fault == StoreFault::kFlip) {
+  if (fault == support::FaultKind::kCacheFlip) {
     // Injected single-bit rot in the middle of a completed entry; the
     // PSASNAP1 checksum must catch it on the next lookup.
     std::fstream flip(final_path,

@@ -56,20 +56,19 @@
 #include <string_view>
 
 #include "cache/key.hpp"
+#include "support/fault.hpp"
 
 namespace psa::cache {
 
-/// Deliberate store-side fault injection (docs/RESILIENCE.md), mapped from
-/// driver::FaultKind by the worker. Tear = truncated bytes written straight
-/// to the final path (a simulated crash with no rename guard); flip = one
-/// bit flipped after a completed store.
-enum class StoreFault : std::uint8_t { kNone, kTear, kFlip };
-
-/// Lookup-side fault injection (driver::FaultKind::kEvictRace): the entry
-/// vanishes between the caller's decision to read and the read itself — the
-/// exact window a concurrent sweeper's unlink can land in. Must degrade to a
-/// clean miss.
-enum class LookupFault : std::uint8_t { kNone, kEvictRace };
+/// Deliberate fault injection (support/fault.hpp): store() acts only on
+/// FaultKind::kCacheFlip (one bit flipped after a completed store), lookup()
+/// only on FaultKind::kEvictRace (the entry vanishes between the decision to
+/// read and the read itself, the window a concurrent sweeper's unlink can
+/// land in; it must degrade to a clean miss). Every other kind is ignored,
+/// so callers pass their unit's planned fault straight through. The two
+/// aliases keep the historical spellings of the "no fault" argument.
+using StoreFault = support::FaultKind;
+using LookupFault = support::FaultKind;
 
 /// Which metrics vocabulary a probe counts into. Entries are otherwise
 /// identical (same directory, same envelope validation, same sweep policy):
@@ -102,16 +101,17 @@ class ResultCache {
   /// misses on kMiss/kEvicted (an evicted entry IS a miss — the caller
   /// recomputes) in the `tier`'s vocabulary; eviction additionally counts
   /// cache_evictions. A hit touches the entry's mtime (best effort) so
-  /// sweep() evicts by recency of use. `fault` injects the sweep-race window
-  /// (LookupFault).
-  [[nodiscard]] Lookup lookup(const CacheKey& key,
-                              LookupFault fault = LookupFault::kNone,
-                              EntryTier tier = EntryTier::kUnit);
+  /// sweep() evicts by recency of use. `fault` == kEvictRace injects the
+  /// sweep-race window.
+  [[nodiscard]] Lookup lookup(
+      const CacheKey& key, support::FaultKind fault = support::FaultKind::kNone,
+      EntryTier tier = EntryTier::kUnit);
 
   /// Atomically store entry bytes (write .tmp, rename). Returns false on I/O
   /// failure; never throws. Counts the `tier`'s store counter on success.
+  /// `fault` == kCacheFlip rots one bit of the completed entry.
   bool store(const CacheKey& key, std::string_view bytes,
-             StoreFault fault = StoreFault::kNone,
+             support::FaultKind fault = support::FaultKind::kNone,
              EntryTier tier = EntryTier::kUnit);
 
   /// Remove an entry the *caller* proved invalid (deep deserialization

@@ -11,6 +11,7 @@
 
 #include "corpus/corpus.hpp"
 #include "driver/supervisor.hpp"
+#include "support/fault.hpp"
 #include "support/io.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -54,9 +55,10 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-/// Re-exec `exe` with `args`, stdout/stderr captured to files. The io fault
-/// env vars are always cleared first so the campaign's own environment can
-/// never leak a fault plan into a child; `env` then sets this scenario's.
+/// Re-exec `exe` with `args`, stdout/stderr captured to files. The fault
+/// plan and trace variables are always cleared first so the campaign's own
+/// environment can never leak a plan into a child; `env` then sets this
+/// scenario's.
 ChildResult run_child(const std::string& exe,
                       const std::vector<std::string>& args,
                       const std::vector<EnvVar>& env,
@@ -66,7 +68,7 @@ ChildResult run_child(const std::string& exe,
   const pid_t pid = ::fork();
   if (pid < 0) return result;
   if (pid == 0) {
-    ::unsetenv("PSA_IO_FAULT");
+    ::unsetenv("PSA_FAULT_AT");
     ::unsetenv("PSA_IO_TRACE");
     for (const EnvVar& var : env) {
       ::setenv(var.name.c_str(), var.value.c_str(), 1);
@@ -179,9 +181,10 @@ void clear_dir(const fs::path& dir) {
 int run_fault_campaign(const CampaignOptions& options) {
   // Validate the kind vocabulary up front — a typo'd kind would silently
   // sweep nothing.
+  const std::vector<std::string> known =
+      support::fault_kind_names(support::FaultSite::kDurableOp);
   for (const std::string& kind : options.kinds) {
-    if (kind != "enospc" && kind != "eio" && kind != "shortwrite" &&
-        kind != "tornrename" && kind != "crash") {
+    if (std::find(known.begin(), known.end(), kind) == known.end()) {
       std::fprintf(stderr, "campaign: unknown fault kind '%s'\n",
                    kind.c_str());
       return 2;
@@ -291,11 +294,12 @@ int run_fault_campaign(const CampaignOptions& options) {
       ++scenario_index;
       const std::string tag =
           std::to_string(op.number) + "-" + kind;
-      const std::string fault_spec = std::to_string(op.number) + ":" + kind;
+      const std::string fault_spec =
+          "#" + std::to_string(op.number) + ":" + kind;
       clear_dir(scn);
       const std::string fault_out = (out_dir / (tag + ".out")).string();
       const ChildResult faulted =
-          run_child(options.exe, base_args, {{"PSA_IO_FAULT", fault_spec}},
+          run_child(options.exe, base_args, {{"PSA_FAULT_AT", fault_spec}},
                     fault_out, (out_dir / (tag + ".err")).string());
       if (!faulted.spawned) {
         violation(op, kind, "failed to spawn child");

@@ -18,7 +18,7 @@
 //
 // The sweep is driven by a golden trace: one clean run with PSA_IO_TRACE
 // records the stream of durable ops; the campaign then re-execs the same
-// pipeline once per traced op per kind with PSA_IO_FAULT=<op>:<kind>.
+// pipeline once per traced op per kind with PSA_FAULT_AT=#<op>:<kind>.
 // docs/RESILIENCE.md ("The I/O fault space") documents the model;
 // scripts/fault_campaign.sh wraps this driver and adds a daemon-side sweep.
 #pragma once
@@ -26,6 +26,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "support/fault.hpp"
 
 namespace psa::driver {
 
@@ -36,10 +38,10 @@ struct CampaignOptions {
   /// Scratch root for unit sources, checkpoint/cache directories, traces,
   /// and per-scenario transcripts. Created if missing; contents clobbered.
   std::string workdir;
-  /// Fault kinds to sweep. Defaults to the full vocabulary of
-  /// support::io::FaultKind.
-  std::vector<std::string> kinds = {"enospc", "eio", "shortwrite",
-                                    "tornrename", "crash"};
+  /// Fault kinds to sweep. Defaults to every durable-op kind of
+  /// support/fault.hpp, in table order.
+  std::vector<std::string> kinds =
+      support::fault_kind_names(support::FaultSite::kDurableOp);
   /// Cap on the number of traced ops to fault (0 = every op in the golden
   /// trace). CI uses the default bounded corpus and no cap; a cap exists for
   /// quick local iteration.

@@ -19,9 +19,9 @@
 #include "checker/checker.hpp"
 #include "corpus/corpus.hpp"
 #include "driver/checkpoint.hpp"
-#include "driver/fault.hpp"
 #include "driver/incremental.hpp"
 #include "ipa/summarize.hpp"
+#include "support/fault.hpp"
 #include "support/io.hpp"
 #include "support/metrics.hpp"
 
@@ -130,27 +130,6 @@ bool cacheable(const UnitPayload& payload, const analysis::Options& engine) {
          (engine.deadline_ms == 0 || payload.result.degradation.empty());
 }
 
-/// PSA_FAULT_AT cache fault points (docs/RESILIENCE.md). Unlike the
-/// process-killing kinds, these are honored wherever the store runs — the
-/// corruption they plant is contained by the cache's own validation, so
-/// there is nothing to sandbox.
-cache::StoreFault store_fault_for(const AnalysisUnit& unit) {
-  switch (FaultPlan::from_env().for_unit(unit.name)) {
-    case FaultKind::kCacheTear:
-      return cache::StoreFault::kTear;
-    case FaultKind::kCacheFlip:
-      return cache::StoreFault::kFlip;
-    default:
-      return cache::StoreFault::kNone;
-  }
-}
-
-cache::LookupFault lookup_fault_for(const AnalysisUnit& unit) {
-  return FaultPlan::from_env().for_unit(unit.name) == FaultKind::kEvictRace
-             ? cache::LookupFault::kEvictRace
-             : cache::LookupFault::kNone;
-}
-
 }  // namespace
 
 std::string run_unit_serialized(const AnalysisUnit& unit,
@@ -193,14 +172,20 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
     bool func_key_valid = false;
     ipa::SummaryTable summaries;
     bool inject_summaries = false;
+    // PSA_FAULT_AT cache fault points (support/fault.hpp). Unlike the
+    // process-killing kinds, these fire wherever the cache runs: the
+    // corruption they plant is contained by the cache's own validation, so
+    // there is nothing to sandbox.
+    const support::FaultKind cache_fault =
+        cache != nullptr ? support::FaultPlan::from_env().for_unit(unit.name)
+                         : support::FaultKind::kNone;
     if (cache != nullptr) {
       key = cache::cache_key(program, engine, check, salvage);
       bool self_heal = false;
       {
         PSA_PHASE_TIMER(lookup_timer, support::Counter::kPhaseCacheLookupWallNs,
                         support::Counter::kPhaseCacheLookupCpuNs);
-        cache::ResultCache::Lookup found =
-            cache->lookup(key, lookup_fault_for(unit));
+        cache::ResultCache::Lookup found = cache->lookup(key, cache_fault);
         if (found.status == cache::ResultCache::Lookup::Status::kHit) {
           try {
             UnitPayload cached = deserialize_unit_payload(found.bytes);
@@ -254,7 +239,7 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
         PSA_PHASE_TIMER(lookup_timer, support::Counter::kPhaseCacheLookupWallNs,
                         support::Counter::kPhaseCacheLookupCpuNs);
         cache::ResultCache::Lookup found = cache->lookup(
-            func_key, cache::LookupFault::kNone, cache::EntryTier::kFunction);
+            func_key, support::FaultKind::kNone, cache::EntryTier::kFunction);
         if (found.status == cache::ResultCache::Lookup::Status::kHit) {
           try {
             UnitPayload cached = deserialize_unit_payload(found.bytes);
@@ -263,7 +248,7 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
             cached.metrics = unit_metrics.delta();
             // Promote to the unit fast path: the next unedited run of this
             // unit hits the unit entry without touching the function tier.
-            (void)cache->store(key, found.bytes, store_fault_for(unit));
+            (void)cache->store(key, found.bytes, cache_fault);
             return serialize_unit_payload(cached, *cached.interner);
           } catch (const rsg::SnapshotError& e) {
             cache->evict(func_key, e.what());
@@ -303,10 +288,10 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
       // same bytes land under both keys: the unit entry is the fast path,
       // the function-tier result entry survives sibling edits.
       if (func_key_valid) {
-        (void)cache->store(func_key, bytes, cache::StoreFault::kNone,
+        (void)cache->store(func_key, bytes, support::FaultKind::kNone,
                            cache::EntryTier::kFunction);
       }
-      (void)cache->store(key, bytes, store_fault_for(unit));
+      (void)cache->store(key, bytes, cache_fault);
     }
     return bytes;
   } catch (const analysis::FrontendError& e) {
@@ -446,7 +431,7 @@ struct RunningWorker {
 #endif
   try {
     // The deliberate-fault hook is honored ONLY here, inside the sandbox.
-    inject_fault(FaultPlan::from_env().for_unit(unit.name));
+    support::inject_fault(support::FaultPlan::from_env().for_unit(unit.name));
     const std::string bytes = runner(unit, engine);
     if (!write_snapshot_file(paths.tmp, paths.final_path, bytes)) {
       std::fprintf(stderr, "psa worker: cannot write snapshot %s\n",

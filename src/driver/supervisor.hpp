@@ -22,7 +22,7 @@
 //     contained per unit, but hard crashes and hangs are not (the governor's
 //     deadline is the only watchdog there).
 //
-// Worker-side fault injection (PSA_FAULT_AT, driver/fault.hpp) lets tests
+// Worker-side fault injection (PSA_FAULT_AT, support/fault.hpp) lets tests
 // and CI prove all of the above; see docs/RESILIENCE.md.
 #pragma once
 

@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "cache/cache.hpp"
-#include "driver/fault.hpp"
 #include "driver/supervisor.hpp"
 #include "rsg/serialize.hpp"
 #include "service/protocol.hpp"
+#include "support/fault.hpp"
 #include "support/io.hpp"
 #include "support/metrics.hpp"
 
@@ -196,13 +196,13 @@ int bind_listener(const DaemonOptions& options, std::string* error) {
 
   try {
     const ServiceRequest request = decode_request(frame.body);
-    const driver::FaultPlan plan = driver::FaultPlan::from_env();
+    const support::FaultPlan plan = support::FaultPlan::from_env();
 
     // PSA_FAULT_AT sockdrop (docs/SERVICE.md): hang up without replying, as
     // a handler dying between accept and the first frame would. The client
     // must treat it as a connection reset — retry, then fall back.
     for (const driver::AnalysisUnit& unit : request.units) {
-      if (plan.for_unit(unit.name) == driver::FaultKind::kSockDrop) {
+      if (plan.for_unit(unit.name) == support::FaultKind::kSockDrop) {
         ::close(conn_fd);
         ::_exit(0);
       }
@@ -248,7 +248,7 @@ int bind_listener(const DaemonOptions& options, std::string* error) {
           MsgType::kUnitResult,
           encode_unit_result(++seq, static_cast<std::uint32_t>(index),
                              report));
-      if (plan.for_unit(report.unit.name) == driver::FaultKind::kStreamTear) {
+      if (plan.for_unit(report.unit.name) == support::FaultKind::kStreamTear) {
         // PSA_FAULT_AT streamtear: half a frame, then hangup — the worst
         // mid-stream death. The client must discard the torn bytes, keep
         // every already-validated unit, and resume over a fresh connection.

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <new>
 
+#include "support/fault.hpp"
 #include "support/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -54,63 +55,6 @@ std::atomic<std::uint64_t>* op_counter() {
 
 std::uint64_t next_op() {
   return op_counter()->fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-struct FaultSpec {
-  bool armed = false;
-  bool by_path = false;       // @<substr> form: every matching op fails
-  std::uint64_t op = 0;       // numeric form: exactly this op fails
-  std::string substr;
-  FaultKind kind = FaultKind::kNone;
-};
-
-bool parse_kind(std::string_view s, FaultKind& out) {
-  if (s == "enospc") out = FaultKind::kEnospc;
-  else if (s == "eio") out = FaultKind::kEio;
-  else if (s == "shortwrite") out = FaultKind::kShortWrite;
-  else if (s == "tornrename") out = FaultKind::kTornRename;
-  else if (s == "crash") out = FaultKind::kCrash;
-  else return false;
-  return true;
-}
-
-/// Parse PSA_IO_FAULT fresh on every op: the env var is the single source of
-/// truth, so tests can re-arm between scenarios without process restarts. A
-/// malformed spec arms nothing (same posture as PSA_FAULT_AT).
-FaultSpec current_fault_spec() {
-  FaultSpec spec;
-  const char* env = std::getenv("PSA_IO_FAULT");
-  if (env == nullptr || *env == '\0') return spec;
-  const std::string_view raw(env);
-  const std::size_t colon = raw.rfind(':');
-  if (colon == std::string_view::npos || colon == 0) return spec;
-  if (!parse_kind(raw.substr(colon + 1), spec.kind)) return spec;
-  const std::string_view sel = raw.substr(0, colon);
-  if (sel.front() == '@') {
-    if (sel.size() < 2) return spec;
-    spec.by_path = true;
-    spec.substr = std::string(sel.substr(1));
-  } else {
-    std::uint64_t value = 0;
-    for (const char c : sel) {
-      if (c < '0' || c > '9') return spec;
-      value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (value == 0) return spec;
-    spec.op = value;
-  }
-  spec.armed = true;
-  return spec;
-}
-
-FaultKind fault_for(std::uint64_t op, const std::string& path) {
-  const FaultSpec spec = current_fault_spec();
-  if (!spec.armed) return FaultKind::kNone;
-  if (spec.by_path) {
-    return path.find(spec.substr) != std::string::npos ? spec.kind
-                                                       : FaultKind::kNone;
-  }
-  return op == spec.op ? spec.kind : FaultKind::kNone;
 }
 
 /// Record one op in the PSA_IO_TRACE stream. Raw O_APPEND open-write-close,
@@ -369,7 +313,7 @@ IoResult atomic_write(const std::string& tmp, const std::string& final_path,
                       std::string_view bytes) {
   const std::uint64_t op = next_op();
   PSA_COUNT(Counter::kIoWrites);
-  const FaultKind fault = fault_for(op, final_path);
+  const FaultKind fault = FaultPlan::from_env().for_op(op, final_path);
   if (fault != FaultKind::kNone) PSA_COUNT(Counter::kIoFaultsInjected);
   const IoResult result = atomic_write_impl(
       tmp, final_path, bytes, fault == FaultKind::kCrash ? FaultKind::kNone
@@ -382,7 +326,7 @@ IoResult atomic_write(const std::string& tmp, const std::string& final_path,
 IoResult checked_append(const std::string& path, std::string_view record) {
   const std::uint64_t op = next_op();
   PSA_COUNT(Counter::kIoWrites);
-  const FaultKind fault = fault_for(op, path);
+  const FaultKind fault = FaultPlan::from_env().for_op(op, path);
   if (fault != FaultKind::kNone) PSA_COUNT(Counter::kIoFaultsInjected);
   const IoResult result = checked_append_impl(
       path, record, fault == FaultKind::kCrash ? FaultKind::kNone : fault);
@@ -394,7 +338,7 @@ IoResult checked_append(const std::string& path, std::string_view record) {
 IoResult checked_rename(const std::string& from, const std::string& to) {
   const std::uint64_t op = next_op();
   PSA_COUNT(Counter::kIoWrites);
-  const FaultKind fault = fault_for(op, to);
+  const FaultKind fault = FaultPlan::from_env().for_op(op, to);
   if (fault != FaultKind::kNone) PSA_COUNT(Counter::kIoFaultsInjected);
   const IoResult result = checked_rename_impl(
       from, to, fault == FaultKind::kCrash ? FaultKind::kNone : fault);

@@ -21,28 +21,18 @@
 // process-global operation number; the counter lives in a MAP_SHARED mapping
 // created before the supervisor forks, so workers and their parent share one
 // numbering and a golden run's op stream is deterministic under --jobs=1.
-// Two environment knobs drive the explorer (scripts/fault_campaign.sh):
+// Two environment variables drive the explorer (scripts/fault_campaign.sh):
 //
 //   PSA_IO_TRACE=<file>   append one line per op ("op <n> <kind> <path>
 //                         <bytes> <ok|error...>") via raw, un-numbered,
 //                         un-faulted appends — the trace never perturbs the
 //                         stream it records.
-//   PSA_IO_FAULT=<sel>:<kind>
-//                         <sel> is an op number (fires exactly once, when
-//                         the global counter reaches it) or @<substr> (fires
-//                         on every op whose path contains <substr> — for
-//                         targeted tests). <kind> is one of:
-//                           enospc     the op fails before any byte lands
-//                           eio        bytes land but the fsync fails; an
-//                                      atomic_write must NOT publish
-//                           shortwrite half the bytes land, then failure
-//                                      (leaves a torn tmp / torn journal
-//                                      line downstream must tolerate)
-//                           tornrename everything durable but the rename
-//                                      never happens (power cut in the gap)
-//                           crash      the op completes, then the process
-//                                      dies with _Exit(kCrashExitCode) —
-//                                      power cut immediately after the op
+//   PSA_FAULT_AT=#<n>:<kind> or @<substr>:<kind>
+//                         fail op number <n> exactly once, or every op whose
+//                         path contains <substr>, with one of the durable-op
+//                         kinds enospc, eio, shortwrite, tornrename or crash
+//                         (support/fault.hpp has the grammar;
+//                         docs/RESILIENCE.md what each kind leaves on disk).
 #pragma once
 
 #include <cstdint>
@@ -55,15 +45,6 @@ namespace psa::support::io {
 /// documented CLI exit (0-4) and from the OOM/uncaught-exception worker
 /// sentinels (77/78), so harnesses can assert the death was the injected one.
 inline constexpr int kCrashExitCode = 86;
-
-enum class FaultKind : std::uint8_t {
-  kNone,
-  kEnospc,
-  kEio,
-  kShortWrite,
-  kTornRename,
-  kCrash,
-};
 
 /// Outcome of one durable op. Contextual prose in `error` when !ok.
 struct IoResult {

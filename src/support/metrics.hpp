@@ -123,7 +123,7 @@ enum class Counter : std::uint16_t {
   // Durable-I/O layer (docs/RESILIENCE.md, "The I/O fault space").
   kIoWrites,          // durable ops issued (atomic writes, appends, renames)
   kIoFsyncs,          // fsync calls (file data and directory entries)
-  kIoFaultsInjected,  // PSA_IO_FAULT injections that fired
+  kIoFaultsInjected,  // PSA_FAULT_AT durable-op faults that fired
   kIoDegradations,    // io failures absorbed as sound degradations
 
   // Phase timers, nanoseconds (wall = steady clock, cpu = process CPU).

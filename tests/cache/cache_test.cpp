@@ -219,9 +219,10 @@ TEST_F(ResultCacheTest, StoreLeavesNoTmpStragglers) {
 TEST_F(ResultCacheTest, SingleBitFlipIsRejectedAndQuarantined) {
   ResultCache cache(dir_);
   const CacheKey key = key_of(kSourceA);
-  // StoreFault::kFlip stores normally, then flips one bit in the entry —
-  // the PSA_FAULT_AT=cacheflip path in miniature.
-  ASSERT_TRUE(cache.store(key, real_payload_bytes(), StoreFault::kFlip));
+  // kCacheFlip stores normally, then flips one bit in the entry — the
+  // PSA_FAULT_AT=cacheflip path in miniature.
+  ASSERT_TRUE(
+      cache.store(key, real_payload_bytes(), support::FaultKind::kCacheFlip));
 
   support::MetricsRegion region;
   const ResultCache::Lookup lookup = cache.lookup(key);
@@ -246,10 +247,19 @@ TEST_F(ResultCacheTest, SingleBitFlipIsRejectedAndQuarantined) {
 TEST_F(ResultCacheTest, TornWriteIsRejected) {
   ResultCache cache(dir_);
   const CacheKey key = key_of(kSourceA);
-  // StoreFault::kTear simulates a crash mid-write with no rename guard:
-  // truncated bytes sitting at the final entry path.
-  ASSERT_TRUE(cache.store(key, real_payload_bytes(), StoreFault::kTear));
-  EXPECT_EQ(cache.lookup(key).status, ResultCache::Lookup::Status::kEvicted);
+  // The reader's side of the atomic-write contract: truncated bytes at the
+  // final entry path (which store() itself can never leave) must be
+  // rejected, quarantined, and never returned.
+  const std::string bytes = real_payload_bytes();
+  {
+    std::ofstream out(cache.entry_path(key), std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+  }
+  const ResultCache::Lookup lookup = cache.lookup(key);
+  EXPECT_EQ(lookup.status, ResultCache::Lookup::Status::kEvicted);
+  EXPECT_TRUE(lookup.bytes.empty());
+  EXPECT_FALSE(fs::exists(cache.entry_path(key)));
+  EXPECT_FALSE(fs::is_empty(fs::path(dir_) / "quarantine"));
 }
 
 TEST_F(ResultCacheTest, EvictQuarantinesAnEnvelopeValidEntry) {
@@ -485,7 +495,8 @@ TEST_F(SweepTest, EvictRaceFaultIsACleanMiss) {
   ASSERT_TRUE(cache.store(key, payload_));
 
   support::MetricsRegion region;
-  const ResultCache::Lookup raced = cache.lookup(key, LookupFault::kEvictRace);
+  const ResultCache::Lookup raced =
+      cache.lookup(key, support::FaultKind::kEvictRace);
   EXPECT_EQ(raced.status, ResultCache::Lookup::Status::kMiss);
   EXPECT_TRUE(raced.bytes.empty());
   const support::MetricsSnapshot delta = region.delta();
@@ -709,20 +720,21 @@ TEST_F(WarmCacheTest, MidRunCorruptionSelfHealsAtTheLookup) {
   EXPECT_EQ(warm_region.delta()[support::Counter::kCacheSelfHeals], 0u);
 }
 
-TEST_F(WarmCacheTest, FaultInjectedTearNeverFailsTheUnit) {
-  // PSA_FAULT_AT=a.c:cachetear — the store is sabotaged, the analysis
+TEST_F(WarmCacheTest, FaultInjectedFlipNeverFailsTheUnit) {
+  // PSA_FAULT_AT=a.c:cacheflip — the store is sabotaged, the analysis
   // succeeds anyway, and the damaged entry self-heals on the next run.
-  ::setenv("PSA_FAULT_AT", "a.c:cachetear", 1);
+  ::setenv("PSA_FAULT_AT", "a.c:cacheflip", 1);
   const std::vector<driver::AnalysisUnit> units = {
       inline_unit("a.c", kSourceA)};
-  const driver::BatchResult torn = driver::run_batch(units, cached_options());
+  const driver::BatchResult flipped =
+      driver::run_batch(units, cached_options());
   ::unsetenv("PSA_FAULT_AT");
-  EXPECT_EQ(torn.units[0].outcome.kind, driver::UnitOutcomeKind::kOk);
+  EXPECT_EQ(flipped.units[0].outcome.kind, driver::UnitOutcomeKind::kOk);
 
   support::MetricsRegion region;
   const driver::BatchResult healed = driver::run_batch(units, cached_options());
   EXPECT_EQ(healed.units[0].outcome.kind, driver::UnitOutcomeKind::kOk);
-  // The torn entry was quarantined by the startup scan and recomputed.
+  // The rotted entry was quarantined by the startup scan and recomputed.
   const support::MetricsSnapshot delta = region.delta();
   EXPECT_EQ(delta[support::Counter::kCacheEvictions], 1u);
   EXPECT_EQ(delta[support::Counter::kCacheMisses], 1u);
@@ -750,19 +762,19 @@ TEST_F(WarmCacheTest, FrontendErrorIsNeverCached) {
 }
 
 // ---------------------------------------------------------------------------
-// Durable-I/O faults (PSA_IO_FAULT, docs/RESILIENCE.md "The I/O fault
-// space"): every store/sweep failure must be a *sound degradation* — a clean
-// miss or a skipped eviction, never a torn entry served or a record dropped
-// silently.
+// Durable-I/O faults (PSA_FAULT_AT op targets, docs/RESILIENCE.md "The I/O
+// fault space"): every store/sweep failure must be a *sound degradation* — a
+// clean miss or a skipped eviction, never a torn entry served or a record
+// dropped silently.
 
 class IoFaultCacheTest : public ResultCacheTest {
  protected:
   void SetUp() override {
     ResultCacheTest::SetUp();
-    ::unsetenv("PSA_IO_FAULT");
+    ::unsetenv("PSA_FAULT_AT");
   }
   void TearDown() override {
-    ::unsetenv("PSA_IO_FAULT");
+    ::unsetenv("PSA_FAULT_AT");
     ResultCacheTest::TearDown();
   }
 };
@@ -773,9 +785,9 @@ TEST_F(IoFaultCacheTest, StoreUnderEnospcIsACleanMiss) {
   const std::string bytes = real_payload_bytes();
 
   support::MetricsRegion region;
-  ::setenv("PSA_IO_FAULT", "@.entry:enospc", 1);
+  ::setenv("PSA_FAULT_AT", "@.entry:enospc", 1);
   EXPECT_FALSE(cache.store(key, bytes));  // failure reported, not thrown
-  ::unsetenv("PSA_IO_FAULT");
+  ::unsetenv("PSA_FAULT_AT");
 
   // Sound degradation: the final path never appeared, the next lookup is a
   // clean miss, and the failure was counted.
@@ -794,9 +806,9 @@ TEST_F(IoFaultCacheTest, StoreUnderShortWriteNeverLeavesATornEntry) {
   ResultCache cache(dir_);
   const CacheKey key = key_of(kSourceA);
 
-  ::setenv("PSA_IO_FAULT", "@.entry:shortwrite", 1);
+  ::setenv("PSA_FAULT_AT", "@.entry:shortwrite", 1);
   EXPECT_FALSE(cache.store(key, real_payload_bytes()));
-  ::unsetenv("PSA_IO_FAULT");
+  ::unsetenv("PSA_FAULT_AT");
 
   // Half the bytes landed — in the tmp file only. The entry path must not
   // exist: a torn entry at the final path is the one corruption lookup's
@@ -825,11 +837,11 @@ TEST_F(IoFaultCacheTest, SweepWithoutDurableJournalEvictsNothing) {
   // "evict" record can be made durable, so no entry may be unlinked — a
   // sweep that deletes results without a durable record of why would turn
   // an io fault into silent data loss.
-  ::setenv("PSA_IO_FAULT", "@sweep.journal:eio", 1);
+  ::setenv("PSA_FAULT_AT", "@sweep.journal:eio", 1);
   ResultCache::SweepLimits limits;
   limits.max_bytes = 1;  // would evict everything if journaling worked
   const ResultCache::SweepReport faulted = cache.sweep(limits);
-  ::unsetenv("PSA_IO_FAULT");
+  ::unsetenv("PSA_FAULT_AT");
   EXPECT_TRUE(faulted.ran);
   EXPECT_EQ(faulted.evicted, 0u);
   EXPECT_EQ(cache.lookup(key_a).status, ResultCache::Lookup::Status::kHit);

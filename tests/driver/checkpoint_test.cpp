@@ -255,14 +255,14 @@ TEST_F(CheckpointTest, LoadPayloadRoundTripsARealPayload) {
 }
 
 // ---------------------------------------------------------------------------
-// Durable-I/O faults (PSA_IO_FAULT, docs/RESILIENCE.md "The I/O fault
-// space"): a journal on a failing device degrades — records report failure,
-// the batch runs on, and the checkpoint stays resumable (an unrecorded unit
-// simply re-runs).
+// Durable-I/O faults (PSA_FAULT_AT op targets, docs/RESILIENCE.md "The I/O
+// fault space"): a journal on a failing device degrades — records report
+// failure, the batch runs on, and the checkpoint stays resumable (an
+// unrecorded unit simply re-runs).
 
 TEST_F(CheckpointTest, UnwritableJournalDegradesAndStaysResumable) {
   const std::string key = unit_key(unit("prog"));
-  ::setenv("PSA_IO_FAULT", "@journal.psaj:enospc", 1);
+  ::setenv("PSA_FAULT_AT", "@journal.psaj:enospc", 1);
   {
     Checkpoint ckpt(dir_, /*resume=*/false);
     // The header append already failed: the degradation is announced up
@@ -277,7 +277,7 @@ TEST_F(CheckpointTest, UnwritableJournalDegradesAndStaysResumable) {
     UnitOutcome outcome;
     EXPECT_FALSE(ckpt.record_outcome(key, outcome));
   }
-  ::unsetenv("PSA_IO_FAULT");
+  ::unsetenv("PSA_FAULT_AT");
 
   // Resume against the never-written journal: sound — no outcome replayed,
   // so the unit re-runs; and with the device healthy the journal works.
@@ -306,9 +306,9 @@ TEST_F(CheckpointTest, TransientJournalFaultLosesOneRecordNotTheJournal) {
   // One ENOSPC hits exactly the next journal append; the write after it
   // succeeds. The lost record means that unit re-runs on resume — the
   // records around it must be untouched.
-  ::setenv("PSA_IO_FAULT", "@journal.psaj:enospc", 1);
+  ::setenv("PSA_FAULT_AT", "@journal.psaj:enospc", 1);
   EXPECT_FALSE(ckpt.record_outcome(key_b, outcome));
-  ::unsetenv("PSA_IO_FAULT");
+  ::unsetenv("PSA_FAULT_AT");
   ASSERT_TRUE(ckpt.record_attempt(key_b, 2));
 
   Checkpoint resumed(dir_, /*resume=*/true);

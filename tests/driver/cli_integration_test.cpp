@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "corpus/corpus.hpp"
 #include "support/metrics.hpp"
 #include "testing/json.hpp"
 #include "testing/program_gen.hpp"
@@ -441,6 +442,24 @@ TEST_F(CliTest, FaultCampaignBoundedSweepHoldsAllInvariants) {
   // The sweep really enumerated (op, kind) pairs.
   EXPECT_NE(result.stdout_text.find("2 ops x 2 kinds = 4 scenarios"),
             std::string::npos)
+      << result.stdout_text;
+}
+
+TEST_F(CliTest, FaultCampaignNeverLeaksTheInvokingFaultPlan) {
+  // A unit-keyed plan in the invoking environment must not reach the
+  // campaign's children: it would crash the golden run's first unit, and the
+  // campaign would refuse to sweep (exit 2).
+  const std::string dir = path_in("campaign");
+  const std::string first_unit =
+      dir + "/units/" + std::string(corpus::unit_sources()[0].name) + ".c";
+  ::setenv("PSA_FAULT_AT", (first_unit + ":crash").c_str(), 1);
+  const RunResult result =
+      run_cli("--fault-campaign=" + dir +
+                  " --campaign-max-ops=2 --campaign-kinds=enospc",
+              path_in("campaign.log"));
+  ::unsetenv("PSA_FAULT_AT");
+  EXPECT_EQ(result.exit_code, 0) << slurp(path_in("campaign.log"));
+  EXPECT_NE(result.stdout_text.find("0 violations"), std::string::npos)
       << result.stdout_text;
 }
 

@@ -712,19 +712,19 @@ TEST_F(CheckpointedBatch, ResumePreservesThePartialOutcome) {
 }
 
 // ---------------------------------------------------------------------------
-// Durable-I/O faults at the batch level (PSA_IO_FAULT, docs/RESILIENCE.md
-// "The I/O fault space"): a failing checkpoint device never kills the batch
-// — the results stay intact, the degradations are counted, and the report
-// says so in its trailing note.
+// Durable-I/O faults at the batch level (PSA_FAULT_AT op targets,
+// docs/RESILIENCE.md "The I/O fault space"): a failing checkpoint device
+// never kills the batch — the results stay intact, the degradations are
+// counted, and the report says so in its trailing note.
 
 TEST_F(CheckpointedBatch, JournalFaultsDegradeSoundlyAndAreReported) {
   const std::vector<AnalysisUnit> units = {inline_unit("a"), inline_unit("b")};
   BatchOptions options = quiet_options();
   options.checkpoint_dir = dir_;
 
-  ::setenv("PSA_IO_FAULT", "@journal.psaj:enospc", 1);
+  ::setenv("PSA_FAULT_AT", "@journal.psaj:enospc", 1);
   const BatchResult faulted = run_batch(units, options);
-  ::unsetenv("PSA_IO_FAULT");
+  ::unsetenv("PSA_FAULT_AT");
 
   // Every unit still analyzed: the device failure cost durability, never
   // results.

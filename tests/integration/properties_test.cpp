@@ -22,6 +22,13 @@ struct SweepParam {
   rsg::AnalysisLevel level;
 };
 
+// Without this, gtest prints the parameter as raw object bytes, the first
+// eight of which are the `program` pointer, and gtest_discover_tests copies
+// that print into the CTest name, which then changes from build to build.
+void PrintTo(const SweepParam& param, std::ostream* os) {
+  *os << param.program << '/' << rsg::to_string(param.level);
+}
+
 class InvariantSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(InvariantSweep, EveryProducedRsgIsWellFormed) {

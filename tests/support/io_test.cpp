@@ -1,9 +1,10 @@
 // The durable-I/O layer (src/support/io): atomic publish and checked append
 // semantics, process-global op numbering, PSA_IO_TRACE golden-run recording,
-// and the PSA_IO_FAULT deterministic fault injector — every kind's on-disk
-// contract (what lands, what never lands, what is left torn for recovery
-// sweeps) is pinned here; docs/RESILIENCE.md "The I/O fault space" is the
-// prose version of this file.
+// and the durable-op faults of PSA_FAULT_AT (#<n> and @<substr> targets,
+// support/fault.hpp) — every kind's on-disk contract (what lands, what
+// never lands, what is left torn for recovery sweeps) is pinned here;
+// docs/RESILIENCE.md "The I/O fault space" is the prose version of this
+// file.
 #include "support/io.hpp"
 
 #include <gtest/gtest.h>
@@ -44,7 +45,7 @@ std::string slurp(const std::string& path) {
 class IoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ::unsetenv("PSA_IO_FAULT");
+    ::unsetenv("PSA_FAULT_AT");
     ::unsetenv("PSA_IO_TRACE");
     dir_ = (fs::path(::testing::TempDir()) /
             ("psa-io-" + std::string(::testing::UnitTest::GetInstance()
@@ -55,7 +56,7 @@ class IoTest : public ::testing::Test {
     fs::create_directories(dir_);
   }
   void TearDown() override {
-    ::unsetenv("PSA_IO_FAULT");
+    ::unsetenv("PSA_FAULT_AT");
     ::unsetenv("PSA_IO_TRACE");
     fs::remove_all(dir_);
   }
@@ -120,7 +121,7 @@ TEST_F(IoTest, TraceRecordsEveryOpWithNumberKindAndPath) {
 TEST_F(IoTest, NumericFaultFiresExactlyOnce) {
   ensure_initialized();
   const std::uint64_t target = ops_issued() + 1;
-  EnvGuard guard("PSA_IO_FAULT", std::to_string(target) + ":enospc");
+  EnvGuard guard("PSA_FAULT_AT", "#" + std::to_string(target) + ":enospc");
   const auto faulted = atomic_write(path("f.tmp"), path("f"), "doomed");
   EXPECT_FALSE(faulted.ok);
   EXPECT_FALSE(fs::exists(path("f")));
@@ -133,7 +134,7 @@ TEST_F(IoTest, NumericFaultFiresExactlyOnce) {
 }
 
 TEST_F(IoTest, PathFaultFiresOnEveryMatchingOp) {
-  EnvGuard guard("PSA_IO_FAULT", "@marked:enospc");
+  EnvGuard guard("PSA_FAULT_AT", "@marked:enospc");
   EXPECT_FALSE(atomic_write(path("m.tmp"), path("marked-1"), "x").ok);
   EXPECT_FALSE(checked_append(path("marked-2"), "y\n").ok);
   EXPECT_TRUE(atomic_write(path("o.tmp"), path("other"), "z").ok);
@@ -143,7 +144,7 @@ TEST_F(IoTest, PathFaultFiresOnEveryMatchingOp) {
 }
 
 TEST_F(IoTest, ShortWriteLeavesTornTmpNeverThePublishedFile) {
-  EnvGuard guard("PSA_IO_FAULT", "@victim:shortwrite");
+  EnvGuard guard("PSA_FAULT_AT", "@victim:shortwrite");
   const auto result =
       atomic_write(path("victim.tmp"), path("victim"), "0123456789");
   EXPECT_FALSE(result.ok);
@@ -157,7 +158,7 @@ TEST_F(IoTest, ShortWriteLeavesTornTmpNeverThePublishedFile) {
 TEST_F(IoTest, ShortWriteOnAppendLeavesTornRecord) {
   EXPECT_TRUE(checked_append(path("tj"), "whole-line\n").ok);
   {
-    EnvGuard guard("PSA_IO_FAULT", "@tj:shortwrite");
+    EnvGuard guard("PSA_FAULT_AT", "@tj:shortwrite");
     EXPECT_FALSE(checked_append(path("tj"), "torn-line\n").ok);
   }
   const std::string content = slurp(path("tj"));
@@ -166,7 +167,7 @@ TEST_F(IoTest, ShortWriteOnAppendLeavesTornRecord) {
 }
 
 TEST_F(IoTest, EioNeverPublishesAndCleansTmp) {
-  EnvGuard guard("PSA_IO_FAULT", "@eiod:eio");
+  EnvGuard guard("PSA_FAULT_AT", "@eiod:eio");
   EXPECT_FALSE(atomic_write(path("eiod.tmp"), path("eiod"), "bytes").ok);
   // fsync "failed": durability unknown, so the tmp is withdrawn and the
   // final path never appears.
@@ -175,7 +176,7 @@ TEST_F(IoTest, EioNeverPublishesAndCleansTmp) {
 }
 
 TEST_F(IoTest, TornRenameLeavesDurableTmpUnpublished) {
-  EnvGuard guard("PSA_IO_FAULT", "@torn:tornrename");
+  EnvGuard guard("PSA_FAULT_AT", "@torn:tornrename");
   EXPECT_FALSE(atomic_write(path("torn.tmp"), path("torn"), "bytes").ok);
   EXPECT_FALSE(fs::exists(path("torn")));
   ASSERT_TRUE(fs::exists(path("torn.tmp")));  // fully written + fsynced
@@ -183,10 +184,12 @@ TEST_F(IoTest, TornRenameLeavesDurableTmpUnpublished) {
 }
 
 TEST_F(IoTest, MalformedFaultSpecArmsNothing) {
-  EnvGuard guard("PSA_IO_FAULT", "not-a-spec");
+  EnvGuard guard("PSA_FAULT_AT", "not-a-spec");
   EXPECT_TRUE(atomic_write(path("ok.tmp"), path("ok"), "x").ok);
-  EnvGuard guard2("PSA_IO_FAULT", "12:unknown-kind");
+  EnvGuard guard2("PSA_FAULT_AT", "12:unknown-kind");
   EXPECT_TRUE(checked_append(path("ok2"), "y\n").ok);
+  EnvGuard guard3("PSA_FAULT_AT", "@ok3:unknown-kind");
+  EXPECT_TRUE(atomic_write(path("ok3.tmp"), path("ok3"), "z").ok);
 }
 
 using IoDeathTest = IoTest;
@@ -196,7 +199,7 @@ TEST_F(IoDeathTest, CrashFaultCompletesTheOpThenDiesWithContractCode) {
   const std::string tmp_path = path("pub.tmp");
   EXPECT_EXIT(
       {
-        ::setenv("PSA_IO_FAULT", "@pub:crash", 1);
+        ::setenv("PSA_FAULT_AT", "@pub:crash", 1);
         (void)atomic_write(tmp_path, final_path, "landed");
         std::_Exit(0);  // unreachable: the op must crash first
       },
